@@ -374,21 +374,23 @@ let install_interrupt_handlers () =
 
 type counters = { computed : int; cached : int; disk : int; remote : int }
 
+(* The configuration fields are fixed at [create]; only [store] may
+   change afterwards, dropping to [None] when a flush fails. *)
 type t = {
   pool : Pool.t;
   guard : Mutex.t;
   memo : (key, cell_result) Hashtbl.t;
   adv_memo : (adv_key, adv_result) Hashtbl.t;
   mutable store : Store.t option;
-  mutable dist : Dist.t option;
-  mutable progress : bool;
-  mutable budgets : budgets;
-  mutable label : string;
-  mutable autosave_cells : int;
-  mutable autosave_secs : float;
+  dist : Dist.t option;
+  progress : bool;
+  budgets : budgets;
+  label : string;
+  autosave_cells : int;
+  autosave_secs : float;
   mutable last_autosave : float;
   mutable since_autosave : int;
-  mutable started : float;
+  started : float;
   mutable n_computed : int;
   mutable n_cached : int;
   mutable n_disk : int;
@@ -408,73 +410,48 @@ let open_store dir =
       dir (Printexc.to_string e);
     None
 
-(* The worker command line when none is given: this very binary with
-   the front-ends' conventional worker-mode argument. Correct for
-   [bin/rme] ([rme worker]); other hosts (bench, tests) pass their
-   own [worker_argv]. *)
-let default_worker_argv () = [| Sys.executable_name; "worker" |]
-
-let env_float name =
-  match Sys.getenv_opt name with
-  | None | Some "" -> None
-  | Some v -> float_of_string_opt v
-
-let env_int name =
-  match Sys.getenv_opt name with
-  | None | Some "" -> None
-  | Some v -> int_of_string_opt v
-
-let make_dist ?worker_argv ?worker_deadline ?cell_timeout ~workers () =
+(* The batch deadline derives from the cell budget: a batch is at most
+   [Pool.auto_chunk]-capped (64) cells, so a worker honouring its
+   per-cell timeout answers within ~64x the budget plus handshake
+   slack; only with no budget at all does the flat 300 s default
+   apply. *)
+let make_dist ?worker_argv ?cell_timeout ~workers () =
   if workers <= 0 then None
   else
     let argv =
-      match worker_argv with Some a -> a | None -> default_worker_argv ()
+      match worker_argv with
+      | Some a -> a
+      | None -> invalid_arg "Engine.create: ~workers > 0 needs ~worker_argv"
     in
-    (* Batch-deadline resolution: explicit (--batch-deadline) beats
-       RME_BATCH_DEADLINE beats a value derived from the cell budget —
-       a batch is at most [Pool.auto_chunk]-capped (64) cells, so a
-       worker honouring its per-cell timeout answers within ~64x the
-       budget plus handshake slack; only with no budget at all does
-       the flat 300 s default apply. *)
     let batch_deadline =
-      match worker_deadline with
-      | Some d -> d
-      | None -> (
-          match env_float "RME_BATCH_DEADLINE" with
-          | Some d -> d
-          | None -> (
-              match cell_timeout with
-              | Some ct -> Float.max 60.0 (10.0 +. (ct *. 64.0))
-              | None -> 300.0))
+      match cell_timeout with
+      | Some ct -> Float.max 60.0 (10.0 +. (ct *. 64.0))
+      | None -> 300.0
     in
     Some
       (Dist.create
-         (Dist.default_config ~batch_deadline
-            ?handshake_deadline:(env_float "RME_HANDSHAKE_DEADLINE") ~workers ~argv
+         (Dist.default_config ~batch_deadline ~workers ~argv
             ~fingerprint:(code_fingerprint ()) ()))
 
 let create ?(jobs = 1) ?cache_dir ?(progress = false) ?(workers = 0) ?worker_argv
-    ?worker_deadline ?cell_timeout ?step_budget ?(retry_timed_out = false)
-    ?(escalation = 1.0) ?(autosave_cells = 64) ?(autosave_secs = 10.0)
-    ?(label = "sweep") () =
-  let budgets = { cell_timeout; step_budget; retry_timed_out; escalation } in
+    ?cell_timeout ?step_budget ?(retry_timed_out = false) ?(escalation = 1.0)
+    ?(autosave_cells = 64) ?(autosave_secs = 10.0) ?(label = "sweep") () =
+  let now = Unix.gettimeofday () in
   {
     pool = Pool.create ~jobs;
     guard = Mutex.create ();
     memo = Hashtbl.create 256;
     adv_memo = Hashtbl.create 64;
-    store = (match cache_dir with None -> None | Some d -> open_store d);
-    dist =
-      make_dist ?worker_argv ?worker_deadline ?cell_timeout:budgets.cell_timeout
-        ~workers ();
+    store = Option.bind cache_dir open_store;
+    dist = make_dist ?worker_argv ?cell_timeout ~workers ();
     progress;
-    budgets;
+    budgets = { cell_timeout; step_budget; retry_timed_out; escalation };
     label;
     autosave_cells = max 1 autosave_cells;
     autosave_secs = Float.max 0.1 autosave_secs;
-    last_autosave = Unix.gettimeofday ();
+    last_autosave = now;
     since_autosave = 0;
-    started = Unix.gettimeofday ();
+    started = now;
     n_computed = 0;
     n_cached = 0;
     n_disk = 0;
@@ -642,13 +619,10 @@ let checkpoint t ~interrupted =
   save_manifest t ~interrupted;
   Mutex.unlock t.guard
 
+(* After an interrupt the manifest keeps saying so. *)
 let shutdown t =
-  checkpoint t ~interrupted:false;
-  (match t.dist with
-  | None -> ()
-  | Some d ->
-      Dist.shutdown d;
-      t.dist <- None);
+  checkpoint t ~interrupted:(interrupted ());
+  Option.iter Dist.shutdown t.dist;
   Pool.shutdown t.pool
 
 let counters t =
@@ -880,116 +854,11 @@ let get_adv t c =
 let map t f xs = Pool.map_list t.pool f xs
 
 (* ------------------------------------------------------------------ *)
-(* The process-wide default engine. *)
-
-let default_engine = ref None
-
-let default () =
-  match !default_engine with
-  | Some e -> e
-  | None ->
-      let e = create ~jobs:1 () in
-      default_engine := Some e;
-      e
-
-let set_jobs j =
-  match !default_engine with
-  | Some e when jobs e = j && j > 0 -> ()
-  | None -> default_engine := Some (create ~jobs:j ())
-  | Some e ->
-      (* Replace only the pool: the memo tables, counters and store
-         handle carry over, so a [-j] change mid-process does not
-         forfeit computed cells. *)
-      Pool.shutdown e.pool;
-      default_engine := Some { e with pool = Pool.create ~jobs:j; guard = Mutex.create () }
-
-let set_cache_dir dir =
-  let e = default () in
-  match (dir, e.store) with
-  | None, None -> ()
-  | None, Some _ ->
-      safe_flush e;
-      e.store <- None
-  | Some d, Some s when Store.dir s = d -> ()
-  | Some d, _ ->
-      safe_flush e;
-      e.store <- open_store d
-
-let set_progress b = (default ()).progress <- b
-
-(* Adjust the default engine's budgets, autosave cadence and manifest
-   label; absent arguments leave the current value unchanged. Called
-   by the front-ends before [set_workers], so a derived batch deadline
-   sees the cell budget. *)
-let configure ?cell_timeout ?step_budget ?retry_timed_out ?escalation
-    ?autosave_cells ?autosave_secs ?label () =
-  let e = default () in
-  let b = e.budgets in
-  let pick o v = match o with Some _ -> o | None -> v in
-  e.budgets <-
-    {
-      cell_timeout = pick cell_timeout b.cell_timeout;
-      step_budget = pick step_budget b.step_budget;
-      retry_timed_out = Option.value ~default:b.retry_timed_out retry_timed_out;
-      escalation = Option.value ~default:b.escalation escalation;
-    };
-  (match autosave_cells with Some n -> e.autosave_cells <- max 1 n | None -> ());
-  (match autosave_secs with Some s -> e.autosave_secs <- Float.max 0.1 s | None -> ());
-  match label with Some l -> e.label <- l | None -> ()
-
-let set_workers ?argv ?deadline n =
-  let e = default () in
-  if workers e <> n || argv <> None then begin
-    (match e.dist with
-    | None -> ()
-    | Some d ->
-        Dist.shutdown d;
-        e.dist <- None);
-    e.dist <-
-      make_dist ?worker_argv:argv ?worker_deadline:deadline
-        ?cell_timeout:e.budgets.cell_timeout ~workers:n ()
-  end
-
-let resolve_cache_dir ?cli ~no_cache () =
-  if no_cache then None
-  else
-    match cli with
-    | Some _ -> cli
-    | None -> (
-        match Sys.getenv_opt "RME_CACHE_DIR" with
-        | None | Some "" -> None
-        | Some d -> Some d)
-
-let resolve_workers ?cli () =
-  match cli with
-  | Some n -> max 0 n
-  | None -> (
-      match Sys.getenv_opt "RME_WORKERS" with
-      | None | Some "" -> 0
-      | Some v -> ( match int_of_string_opt v with Some n -> max 0 n | None -> 0))
-
-let resolve_cell_timeout ?cli () =
-  match cli with Some _ -> cli | None -> env_float "RME_CELL_TIMEOUT"
-
-let resolve_step_budget ?cli () =
-  match cli with Some _ -> cli | None -> env_int "RME_STEP_BUDGET"
-
-let resolve_batch_deadline ?cli () =
-  match cli with Some _ -> cli | None -> env_float "RME_BATCH_DEADLINE"
-
-let resolve_autosave () = (env_int "RME_AUTOSAVE_CELLS", env_float "RME_AUTOSAVE_SECS")
-
-(* The explicit flag forces the readout on; otherwise it is on exactly
-   when stderr is a terminal, so redirected sweep logs stay clean. *)
-let resolve_progress ?(cli = false) () =
-  cli || (try Unix.isatty Unix.stderr with Unix.Unix_error _ -> false)
-
-(* ------------------------------------------------------------------ *)
-(* The worker side: what [rme worker] / [bench --worker] run. With a
-   cache directory the worker gets its own disk tier — lookups go
-   store → compute, computed entries are written back and flushed
-   after every batch, so a long sweep's results survive even a
-   coordinator that dies mid-run. *)
+(* The worker side: what [rme worker] runs. With a cache directory
+   the worker gets its own disk tier — lookups go store → compute,
+   computed entries are written back and flushed after every batch,
+   so a long sweep's results survive even a coordinator that dies
+   mid-run. *)
 
 let serve_worker ?cache_dir ?budgets ic oc =
   let store = match cache_dir with None -> None | Some d -> open_store d in

@@ -32,7 +32,6 @@ val create :
   ?progress:bool ->
   ?workers:int ->
   ?worker_argv:string array ->
-  ?worker_deadline:float ->
   ?cell_timeout:float ->
   ?step_budget:int ->
   ?retry_timed_out:bool ->
@@ -51,14 +50,12 @@ val create :
 
     [workers > 0] attaches a {!Rme_dist.Coordinator} of that many
     worker subprocesses as a third lookup tier (memory → disk →
-    workers → compute). [worker_argv] is the worker command line
-    (default: this executable with a ["worker"] argument — right for
-    [bin/rme], other hosts must pass their own); [worker_deadline]
-    bounds how long a worker may hold one batch before it is declared
-    hung (default: derived from [cell_timeout] when one is set —
-    explicit flag beats [RME_BATCH_DEADLINE] beats derived beats the
-    flat 300 s). Worker failures of any kind degrade to in-process
-    compute; they can never change results (see {!counters}).
+    workers → compute). [worker_argv] is the worker command line and
+    is required when [workers > 0] ([Invalid_argument] otherwise). A
+    worker may hold one batch for a deadline derived from
+    [cell_timeout] (a flat 300 s without one) before it is declared
+    hung. Worker failures of any kind degrade to in-process compute;
+    they can never change results (see {!counters}).
 
     {b Budgets}: [cell_timeout] (wall-clock seconds) and
     [step_budget] (scheduler turns, overriding the harness's [n^2]
@@ -72,14 +69,18 @@ val create :
     flushed — and the run manifest rewritten — every [autosave_cells]
     cells (default 64) or [autosave_secs] seconds (default 10),
     whichever trips first, bounding what a SIGKILL can lose. [label]
-    names the sweep in the manifest. *)
+    names the sweep in the manifest.
+
+    Every setting is fixed for the engine's lifetime: a different
+    configuration is a different engine. *)
 
 val jobs : t -> int
 
 (** Worker slots of the attached coordinator; [0] when none. *)
 val workers : t -> int
 val shutdown : t -> unit
-(** Flush the store (if any) and join the pool's domains. *)
+(** Flush the store (if any) and checkpoint the manifest, stop the
+    worker processes and join the pool's domains. Idempotent. *)
 
 val cache_dir : t -> string option
 (** The attached store's directory, if a store is attached. *)
@@ -89,78 +90,6 @@ val store_stats : t -> Rme_store.Store.stats option
 val dist_stats : t -> Rme_dist.Coordinator.stats option
 (** Worker-tier telemetry (spawns, losses, requeues, remote/unserved
     cells), when a coordinator is attached. *)
-
-val default : unit -> t
-(** The process-wide engine the experiment functions use when no
-    [?engine] is passed; starts sequential ([jobs = 1]), uncached. *)
-
-val set_jobs : int -> unit
-(** Replace the default engine's pool by one of the given parallelism
-    (no-op if it already has it). The memo tables, counters and store
-    handle carry over, so a [-j] change mid-process does not forfeit
-    computed cells. This is what the [-j N] flags of [bench/main.exe]
-    and [rme experiment] call. *)
-
-val set_cache_dir : string option -> unit
-(** Attach ([Some dir]) or detach ([None]) the default engine's
-    persistent store. Detaching (and re-attaching elsewhere) flushes
-    pending entries first. *)
-
-val set_progress : bool -> unit
-(** Toggle the default engine's prefetch progress readout. *)
-
-val set_workers : ?argv:string array -> ?deadline:float -> int -> unit
-(** Attach ([n > 0]) or detach ([0]) the default engine's worker
-    coordinator, shutting down any previous one. This is what the
-    [--workers N] flags of [bench/main.exe] and [rme experiment]
-    call; [argv] is the worker command line the front-end spawns
-    itself with. *)
-
-val resolve_cache_dir : ?cli:string -> no_cache:bool -> unit -> string option
-(** The cache-directory resolution both front-ends share:
-    [--no-cache] beats everything, an explicit [--cache-dir] beats the
-    [RME_CACHE_DIR] environment variable, and with neither set the
-    cache is off. *)
-
-val resolve_workers : ?cli:int -> unit -> int
-(** Worker-count resolution: an explicit [--workers] beats the
-    [RME_WORKERS] environment variable; with neither set (or
-    unparsable), workers are off ([0]). Negative values clamp to 0. *)
-
-val configure :
-  ?cell_timeout:float ->
-  ?step_budget:int ->
-  ?retry_timed_out:bool ->
-  ?escalation:float ->
-  ?autosave_cells:int ->
-  ?autosave_secs:float ->
-  ?label:string ->
-  unit ->
-  unit
-(** Adjust the default engine's budgets, autosave cadence and sweep
-    label in place (absent arguments leave the current value). The
-    front-ends call this after flag parsing; [--resume] additionally
-    sets [retry_timed_out:true] with an [escalation] factor. *)
-
-val resolve_cell_timeout : ?cli:float -> unit -> float option
-val resolve_step_budget : ?cli:int -> unit -> int option
-
-val resolve_batch_deadline : ?cli:float -> unit -> float option
-(** Budget resolution shared by the front-ends: the explicit flag
-    ([--cell-timeout] / [--step-budget] / [--batch-deadline]) beats
-    the environment ([RME_CELL_TIMEOUT] / [RME_STEP_BUDGET] /
-    [RME_BATCH_DEADLINE]); with neither, [None] — no wall-clock cell
-    bound, the harness's step formula, and a batch deadline derived
-    from the cell budget (or the flat default). *)
-
-val resolve_autosave : unit -> int option * float option
-(** [(RME_AUTOSAVE_CELLS, RME_AUTOSAVE_SECS)] from the environment —
-    there are no CLI flags for these outside [bench]. *)
-
-val resolve_progress : ?cli:bool -> unit -> bool
-(** The [--progress] policy: the explicit flag forces the readout on;
-    otherwise it is on exactly when stderr is a terminal, so
-    redirected sweep logs stay clean. *)
 
 (** {1 Budgets} *)
 
@@ -191,8 +120,9 @@ exception Interrupted
     same cache directory resumes where this one stopped. *)
 
 val exit_interrupted : int
-(** The exit code ([75], [EX_TEMPFAIL]) front-ends use after catching
-    {!Interrupted}: stopped cleanly, state saved, safe to re-run. *)
+(** The exit code ([75], [EX_TEMPFAIL]) [rme experiment] uses after
+    catching {!Interrupted}: stopped cleanly, state saved, safe to
+    re-run. *)
 
 val install_interrupt_handlers : unit -> unit
 (** Route SIGINT and SIGTERM into {!request_interrupt} (second signal
@@ -352,7 +282,8 @@ val cell_result_decode : string -> cell_result option
 
 val cell_of_key_string : string -> cell option
 (** Decode a canonical cell key back into a computable cell (the lock
-    factory is recovered from the registry by name) — what a worker
+    factory is recovered by name with {!Rme_locks.Registry.find},
+    which also knows A1's forced-arity KM variants) — what a worker
     process does with the keys the coordinator streams to it. Total;
     inverse of {!cell_key_string} up to key identity:
     [cell_of_key_string (cell_key_string c)] is a cell with the same
@@ -380,8 +311,8 @@ val compute_encoded :
 val serve_worker :
   ?cache_dir:string -> ?budgets:budgets -> in_channel -> out_channel -> unit
 (** Run the {!Rme_dist.Worker} loop over the given channels (the
-    hidden [rme worker] / [bench --worker] entry points). With
-    [cache_dir], the worker consults and feeds that store itself
+    hidden [rme worker] entry point). With [cache_dir], the worker
+    consults and feeds that store itself
     (flushed after every batch), so worker-computed results persist
     even if the coordinator is lost. [budgets] mirrors the
     coordinator's cell budgets — under [retry_timed_out] the worker's

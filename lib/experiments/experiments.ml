@@ -16,9 +16,7 @@ type outcome = Table.t list
    by cell key), then formats its tables with [Engine.get] lookups in
    the original enumeration order — so tables are bit-identical to a
    sequential run, and cells shared between experiments are computed
-   once per process. *)
-
-let engine_of = function Some e -> e | None -> Engine.default ()
+   once per engine. *)
 
 (* ------------------------------------------------------------------ *)
 (* E1: the RMR landscape across algorithms (the measured version of the
@@ -38,8 +36,8 @@ let theory_of (factory : Lock_intf.factory) ~n ~w =
   | "epoch-mcs" -> "O(1) (system-wide)"
   | _ -> "?"
 
-let e1_lock_landscape ?engine ?(seed = 42) ?(width = 16) ?(ns = [ 2; 4; 8; 16; 32; 64 ]) () =
-  let eng = engine_of engine in
+let e1_lock_landscape ~engine:eng
+    ?(seed = 42) ?(width = 16) ?(ns = [ 2; 4; 8; 16; 32; 64 ]) () =
   let cell ~model ~n factory =
     Engine.cell ~superpassages:2 ~seed ~n ~width ~model factory
   in
@@ -93,9 +91,8 @@ let e1_lock_landscape ?engine ?(seed = 42) ?(width = 16) ?(ns = [ 2; 4; 8; 16; 3
 (* ------------------------------------------------------------------ *)
 (* E2: the word-size tradeoff of the Katzan–Morrison lock. *)
 
-let e2_word_size_tradeoff ?engine ?(seed = 7) ?(ns = [ 16; 64; 256; 1024 ])
+let e2_word_size_tradeoff ~engine:eng ?(seed = 7) ?(ns = [ 16; 64; 256; 1024 ])
     ?(ws = [ 2; 4; 8; 16; 32; 62 ]) () =
-  let eng = engine_of engine in
   let cell ~model ~n ~w =
     Engine.cell ~superpassages:1 ~seed ~n ~width:w ~model
       Rme_locks.Katzan_morrison.factory
@@ -142,8 +139,8 @@ let e2_word_size_tradeoff ?engine ?(seed = 7) ?(ns = [ 16; 64; 256; 1024 ])
 (* ------------------------------------------------------------------ *)
 (* E3: rounds forced by the lower-bound adversary. *)
 
-let e3_adversary_bound ?engine ?(ns = [ 64; 256; 1024; 4096 ]) ?(ws = [ 4; 8; 16; 32 ]) () =
-  let eng = engine_of engine in
+let e3_adversary_bound ~engine:eng
+    ?(ns = [ 64; 256; 1024; 4096 ]) ?(ws = [ 4; 8; 16; 32 ]) () =
   let cell ~model ~factory ~n ~w = Engine.adv_cell ~n ~width:w ~model factory in
   Engine.prefetch_adv eng
     (List.concat_map
@@ -215,8 +212,7 @@ let e4_families : (string * (y:int -> Rme_core.Partite.edge -> int)) list =
         Array.fold_left (fun acc p -> acc lxor (p land 1)) y e);
   ]
 
-let e4_hiding_lemma ?engine ?(seed = 99) ?(m = 3) ?(trials = 50) () =
-  let eng = engine_of engine in
+let e4_hiding_lemma ~engine:eng ?(seed = 99) ?(m = 3) ?(trials = 50) () =
   let p = Hiding.paper_params ~ell:1 ~delta:1.0 in
   let gsize = Hiding.min_group_size p in
   let groups = Array.init m (fun i -> Array.init gsize (fun j -> (i * gsize) + j)) in
@@ -271,9 +267,8 @@ let e4_hiding_lemma ?engine ?(seed = 99) ?(m = 3) ?(trials = 50) () =
 (* ------------------------------------------------------------------ *)
 (* E5: recovery cost under increasing crash rates. *)
 
-let e5_crash_cost ?engine ?(seed = 5) ?(n = 8)
+let e5_crash_cost ~engine:eng ?(seed = 5) ?(n = 8)
     ?(probs = [ 0.0; 0.01; 0.02; 0.05; 0.1; 0.2 ]) () =
-  let eng = engine_of engine in
   let superpassages = 4 in
   let cell ~model ~factory ~prob =
     Engine.cell ~superpassages
@@ -333,8 +328,7 @@ let e5_crash_cost ?engine ?(seed = 5) ?(n = 8)
    E1's n=32 column, so when both experiments run in one process every
    E6 cell is a memo-cache hit. *)
 
-let e6_model_comparison ?engine ?(seed = 42) ?(n = 32) () =
-  let eng = engine_of engine in
+let e6_model_comparison ~engine:eng ?(seed = 42) ?(n = 32) () =
   let cell ~model factory =
     Engine.cell ~superpassages:2 ~seed ~n ~width:16 ~model factory
   in
@@ -376,8 +370,8 @@ let e6_model_comparison ?engine ?(seed = 42) ?(n = 32) () =
 (* ------------------------------------------------------------------ *)
 (* E7: the min(log_w n, log n / log log n) crossover. *)
 
-let e7_crossover ?engine ?(n = 65536) ?(ws = [ 2; 3; 4; 6; 8; 12; 16; 24; 32; 48; 62 ]) () =
-  let eng = engine_of engine in
+let e7_crossover ~engine:eng
+    ?(n = 65536) ?(ws = [ 2; 3; 4; 6; 8; 12; 16; 24; 32; 48; 62 ]) () =
   let t =
     Table.create
       ~title:
@@ -436,8 +430,7 @@ let e7_crossover ?engine ?(n = 65536) ?(ws = [ 2; 3; 4; 6; 8; 12; 16; 24; 32; 48
    under simultaneous crashes with epoch support, O(1) RMRs per passage
    are possible — the lower bound inherently needs individual crashes. *)
 
-let e8_system_wide ?engine ?(seed = 3) ?(ns = [ 4; 8; 16; 32; 64 ]) () =
-  let eng = engine_of engine in
+let e8_system_wide ~engine:eng ?(seed = 3) ?(ns = [ 4; 8; 16; 32; 64 ]) () =
   let cell ~crashes ~n =
     Engine.cell ~superpassages:3 ~crashes ~allow_cs_crash:true ~seed ~n ~width:16
       ~model:Rmr.Cc Rme_locks.Epoch_mcs.factory
@@ -489,8 +482,8 @@ let e8_system_wide ?engine ?(seed = 3) ?(ns = [ 4; 8; 16; 32; 64 ]) () =
    design choice b = Θ(w) is what converts word width into fewer levels;
    forcing smaller arity at the same w gives strictly more levels. *)
 
-let a1_arity_ablation ?engine ?(seed = 9) ?(n = 256) ?(arities = [ 2; 4; 8; 16; 32 ]) () =
-  let eng = engine_of engine in
+let a1_arity_ablation ~engine:eng
+    ?(seed = 9) ?(n = 256) ?(arities = [ 2; 4; 8; 16; 32 ]) () =
   let cell ~model b =
     Engine.cell ~superpassages:1 ~seed ~n ~width:32 ~model
       (Rme_locks.Katzan_morrison.factory_with_arity b)
@@ -530,8 +523,7 @@ let a1_arity_ablation ?engine ?(seed = 9) ?(n = 256) ?(arities = [ 2; 4; 8; 16; 
    bound. At w=16 the first column, k=17, is the default threshold —
    the same cell E3 computes. *)
 
-let a2_k_ablation ?engine ?(n = 1024) ?(w = 16) ?(ks = [ 17; 24; 32; 64; 128 ]) () =
-  let eng = engine_of engine in
+let a2_k_ablation ~engine:eng ?(n = 1024) ?(w = 16) ?(ks = [ 17; 24; 32; 64; 128 ]) () =
   let cell ~factory k = Engine.adv_cell ~k ~n ~width:w ~model:Rmr.Cc factory in
   Engine.prefetch_adv eng
     (List.concat_map
@@ -572,8 +564,7 @@ let a2_k_ablation ?engine ?(n = 1024) ?(w = 16) ?(ks = [ 17; 24; 32; 64; 128 ]) 
    every level. This ablation measures that gap honestly. The contended
    cells share E2's (n=256, w) sweep. *)
 
-let a3_adaptivity ?engine ?(n = 256) ?(ws = [ 4; 8; 16; 32 ]) () =
-  let eng = engine_of engine in
+let a3_adaptivity ~engine:eng ?(n = 256) ?(ws = [ 4; 8; 16; 32 ]) () =
   let contended w =
     Engine.cell ~superpassages:1 ~seed:7 ~n ~width:w ~model:Rmr.Cc
       Rme_locks.Katzan_morrison.factory
@@ -623,8 +614,7 @@ let a3_adaptivity ?engine ?(n = 256) ?(ws = [ 4; 8; 16; 32 ]) () =
    properties"); the harness measures them as bypass counts: how many
    critical sections others completed between a request and its grant. *)
 
-let f1_fairness ?engine ?(seed = 31) ?(n = 8) ?(sp = 6) () =
-  let eng = engine_of engine in
+let f1_fairness ~engine:eng ?(seed = 31) ?(n = 8) ?(sp = 6) () =
   let cell factory =
     Engine.cell ~superpassages:sp ~seed ~n ~width:16 ~model:Rmr.Cc factory
   in
@@ -662,19 +652,35 @@ let f1_fairness ?engine ?(seed = 31) ?(n = 8) ?(sp = 6) () =
 
 let all =
   [
-    ("e1", "RMR landscape across lock algorithms", fun () -> e1_lock_landscape ());
-    ("e2", "Katzan-Morrison word-size tradeoff", fun () -> e2_word_size_tradeoff ());
-    ("e3", "lower-bound adversary vs Theorem 1", fun () -> e3_adversary_bound ());
-    ("e4", "Process-Hiding Lemma (paper constants)", fun () -> e4_hiding_lemma ());
-    ("e5", "crash-recovery cost", fun () -> e5_crash_cost ());
-    ("e6", "CC vs DSM", fun () -> e6_model_comparison ());
-    ("e7", "min(log_w n, log/loglog) crossover", fun () -> e7_crossover ());
-    ("e8", "system-wide crash separation (epoch-MCS)", fun () -> e8_system_wide ());
-    ("a1", "ablation: KM tree arity vs word size", fun () -> a1_arity_ablation ());
-    ("a2", "ablation: adversary contention threshold k", fun () -> a2_k_ablation ());
-    ("a3", "ablation: contention adaptivity of the KM core", fun () -> a3_adaptivity ());
-    ("f1", "fairness: bypass counts per lock", fun () -> f1_fairness ());
+    ( "e1",
+      "RMR landscape across lock algorithms",
+      fun ~engine -> e1_lock_landscape ~engine () );
+    ( "e2",
+      "Katzan-Morrison word-size tradeoff",
+      fun ~engine -> e2_word_size_tradeoff ~engine () );
+    ( "e3",
+      "lower-bound adversary vs Theorem 1",
+      fun ~engine -> e3_adversary_bound ~engine () );
+    ( "e4",
+      "Process-Hiding Lemma (paper constants)",
+      fun ~engine -> e4_hiding_lemma ~engine () );
+    ("e5", "crash-recovery cost", fun ~engine -> e5_crash_cost ~engine ());
+    ("e6", "CC vs DSM", fun ~engine -> e6_model_comparison ~engine ());
+    ("e7", "min(log_w n, log/loglog) crossover", fun ~engine -> e7_crossover ~engine ());
+    ( "e8",
+      "system-wide crash separation (epoch-MCS)",
+      fun ~engine -> e8_system_wide ~engine () );
+    ( "a1",
+      "ablation: KM tree arity vs word size",
+      fun ~engine -> a1_arity_ablation ~engine () );
+    ( "a2",
+      "ablation: adversary contention threshold k",
+      fun ~engine -> a2_k_ablation ~engine () );
+    ( "a3",
+      "ablation: contention adaptivity of the KM core",
+      fun ~engine -> a3_adaptivity ~engine () );
+    ("f1", "fairness: bypass counts per lock", fun ~engine -> f1_fairness ~engine ());
   ]
 
-let run_one id =
-  List.find_opt (fun (i, _, _) -> i = id) all |> Option.map (fun (_, _, f) -> f ())
+let run_one ~engine id =
+  List.find_opt (fun (i, _, _) -> i = id) all |> Option.map (fun (_, _, f) -> f ~engine)

@@ -21,8 +21,8 @@
     tables.
 
     Each experiment decomposes into independent trial cells and runs
-    them through an {!Engine} (pass [?engine], or the process-wide
-    {!Engine.default} is used): cells are computed across the engine's
+    them through the {!Engine} passed as [~engine]: cells are computed
+    across the engine's
     domain pool and memoised, and the tables are assembled by key
     lookup in canonical order — bit-identical output at any [-j],
     with cells shared between experiments computed only once. *)
@@ -34,54 +34,54 @@ val e4_families : (string * (y:int -> Rme_core.Partite.edge -> int)) list
     Lemma with, as [f_y] functions on step tuples. *)
 
 val e1_lock_landscape :
-  ?engine:Engine.t -> ?seed:int -> ?width:int -> ?ns:int list -> unit -> outcome
+  engine:Engine.t -> ?seed:int -> ?width:int -> ?ns:int list -> unit -> outcome
 
 val e2_word_size_tradeoff :
-  ?engine:Engine.t -> ?seed:int -> ?ns:int list -> ?ws:int list -> unit -> outcome
+  engine:Engine.t -> ?seed:int -> ?ns:int list -> ?ws:int list -> unit -> outcome
 
 val e3_adversary_bound :
-  ?engine:Engine.t -> ?ns:int list -> ?ws:int list -> unit -> outcome
+  engine:Engine.t -> ?ns:int list -> ?ws:int list -> unit -> outcome
 
 val e4_hiding_lemma :
-  ?engine:Engine.t -> ?seed:int -> ?m:int -> ?trials:int -> unit -> outcome
+  engine:Engine.t -> ?seed:int -> ?m:int -> ?trials:int -> unit -> outcome
 
 val e5_crash_cost :
-  ?engine:Engine.t -> ?seed:int -> ?n:int -> ?probs:float list -> unit -> outcome
+  engine:Engine.t -> ?seed:int -> ?n:int -> ?probs:float list -> unit -> outcome
 
-val e6_model_comparison : ?engine:Engine.t -> ?seed:int -> ?n:int -> unit -> outcome
+val e6_model_comparison : engine:Engine.t -> ?seed:int -> ?n:int -> unit -> outcome
 (** Deliberately shaped (seed 42, n=32, w=16, 2 super-passages) to reuse
     E1's n=32 cells from the shared memo cache. *)
 
-val e7_crossover : ?engine:Engine.t -> ?n:int -> ?ws:int list -> unit -> outcome
+val e7_crossover : engine:Engine.t -> ?n:int -> ?ws:int list -> unit -> outcome
 (** The measured E7b companion (KM, CC, n=1024, seed 7) reuses E2's
     cells for the word sizes both sweep. *)
 
-val e8_system_wide : ?engine:Engine.t -> ?seed:int -> ?ns:int list -> unit -> outcome
+val e8_system_wide : engine:Engine.t -> ?seed:int -> ?ns:int list -> unit -> outcome
 (** The system-wide crash separation: epoch-MCS stays O(1) per passage
     under simultaneous crashes (paper conclusion; Golab–Hendler [11]). *)
 
 val a1_arity_ablation :
-  ?engine:Engine.t -> ?seed:int -> ?n:int -> ?arities:int list -> unit -> outcome
+  engine:Engine.t -> ?seed:int -> ?n:int -> ?arities:int list -> unit -> outcome
 (** Ablation: forcing the KM tree arity below the word size. *)
 
 val a2_k_ablation :
-  ?engine:Engine.t -> ?n:int -> ?w:int -> ?ks:int list -> unit -> outcome
+  engine:Engine.t -> ?n:int -> ?w:int -> ?ks:int list -> unit -> outcome
 (** Ablation: the adversary's contention threshold (the paper's w^d).
     The default-threshold column shares E3's adversary cells. *)
 
-val a3_adaptivity : ?engine:Engine.t -> ?n:int -> ?ws:int list -> unit -> outcome
+val a3_adaptivity : engine:Engine.t -> ?n:int -> ?ws:int list -> unit -> outcome
 (** Ablation: solo vs contended passage cost of the KM core (the full
     algorithm of [19] is additionally contention-adaptive; ours is
     not — a documented simplification). The contended cells share E2's
     n=256 sweep. *)
 
 val f1_fairness :
-  ?engine:Engine.t -> ?seed:int -> ?n:int -> ?sp:int -> unit -> outcome
+  engine:Engine.t -> ?seed:int -> ?n:int -> ?sp:int -> unit -> outcome
 (** Fairness: worst bypass count per lock (queue locks are FIFO; TAS and
     tree locks are not). *)
 
-val all : (string * string * (unit -> outcome)) list
+val all : (string * string * (engine:Engine.t -> outcome)) list
 (** [(id, description, run)] for every experiment, in order. *)
 
-val run_one : string -> outcome option
+val run_one : engine:Engine.t -> string -> outcome option
 (** Run an experiment by id ("e1" .. "e7"). *)

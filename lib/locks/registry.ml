@@ -31,7 +31,19 @@ let system_wide = [ Epoch_mcs.factory ]
 let conventional =
   List.filter (fun f -> not f.Rme_sim.Lock_intf.recoverable) all
 
+(* Besides the catalogue, the forced-arity Katzan-Morrison variants
+   (A1's [katzan-morrison-b<k>]) resolve by name, so that every lock an
+   experiment runs can be rebuilt from the name in its cell key. Only
+   the canonical spelling matches: the rebuilt factory must carry the
+   very name it was found by. *)
 let find name =
-  List.find_opt (fun f -> f.Rme_sim.Lock_intf.name = name) all
+  match List.find_opt (fun f -> f.Rme_sim.Lock_intf.name = name) all with
+  | Some _ as found -> found
+  | None -> (
+      match Scanf.sscanf_opt name "katzan-morrison-b%u%!" Fun.id with
+      | Some k when k >= 2 ->
+          let f = Katzan_morrison.factory_with_arity k in
+          if f.Rme_sim.Lock_intf.name = name then Some f else None
+      | _ -> None)
 
 let names () = List.map (fun f -> f.Rme_sim.Lock_intf.name) all

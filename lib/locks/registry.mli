@@ -16,6 +16,8 @@ val system_wide : Rme_sim.Lock_intf.factory list
 val conventional : Rme_sim.Lock_intf.factory list
 
 val find : string -> Rme_sim.Lock_intf.factory option
-(** Look a lock up by its [name]. *)
+(** Look a lock up by its [name]. Also resolves the forced-arity
+    variants [katzan-morrison-b<k>] ([k >= 2]) of
+    {!Katzan_morrison.factory_with_arity}, which are not in {!all}. *)
 
 val names : unit -> string list

@@ -2,7 +2,7 @@
 
     A store directory persists computed results ([section] × encoded
     key → encoded value, all canonical strings — see {!Codec}) across
-    processes, so repeated bench runs and CI jobs only compute new
+    processes, so repeated experiment runs and CI jobs only compute new
     cells. The design goals, in order:
 
     - {b never wrong}: every shard file records the code fingerprint
@@ -15,7 +15,7 @@
       so readers see old-or-new, never half a file.
     - {b shareable without locks}: each open handle owns a uniquely
       named shard file and rewrites only that; two engines (a [-j4]
-      bench and a CI job, say) can share a directory concurrently and
+      sweep and a CI job, say) can share a directory concurrently and
       neither can lose the other's entries. Duplicate keys across
       shards are harmless — results are deterministic functions of
       their key — and resolve deterministically (sorted file order,

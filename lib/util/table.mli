@@ -1,6 +1,6 @@
 (** ASCII table rendering for experiment output.
 
-    The benchmark harness prints every reproduced table/figure as rows of
+    [rme experiment] prints every reproduced table/figure as rows of
     aligned columns, in the spirit of the series a paper plot would show. *)
 
 type t

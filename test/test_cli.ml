@@ -61,6 +61,42 @@ let test_unknown_lock_rejected () =
   let code, _ = eval [ "simulate"; "--lock"; "nope" ] in
   Alcotest.(check bool) "non-zero exit" true (code <> 0)
 
+let test_resume_needs_cache_dir () =
+  Unix.putenv "RME_CACHE_DIR" "";
+  let code, _ = eval [ "experiment"; "e1"; "--resume" ] in
+  Alcotest.(check int) "exit 2" 2 code
+
+(* [config_of_flags] with every flag at its default, except those given. *)
+let config ?(workers = 0) ?cache_dir ?(no_cache = false) ?(resume = false) () =
+  Cli.config_of_flags ~jobs:1 ~workers ~cache_dir ~no_cache ~progress:false ~resume
+    ~cell_timeout:None ~step_budget:None ~autosave_cells:None
+
+let cache_dir_of r =
+  match r with Ok c -> c.Cli.cache_dir | Error e -> Alcotest.fail e
+
+let test_config_cache_dir () =
+  (* --no-cache beats --cache-dir, which beats RME_CACHE_DIR. *)
+  Unix.putenv "RME_CACHE_DIR" "/tmp/from-env";
+  Alcotest.(check (option string)) "env respected" (Some "/tmp/from-env")
+    (cache_dir_of (config ()));
+  Alcotest.(check (option string)) "flag wins" (Some "/tmp/flag")
+    (cache_dir_of (config ~cache_dir:"/tmp/flag" ()));
+  Alcotest.(check (option string)) "no-cache wins" None
+    (cache_dir_of (config ~cache_dir:"/tmp/flag" ~no_cache:true ()));
+  Alcotest.(check bool) "--resume with the env dir is fine" true
+    (Result.is_ok (config ~resume:true ()));
+  Unix.putenv "RME_CACHE_DIR" "";
+  Alcotest.(check (option string)) "empty env is off" None (cache_dir_of (config ()));
+  Alcotest.(check bool) "--resume without a dir is an error" true
+    (Result.is_error (config ~resume:true ()))
+
+let test_config_workers () =
+  let workers w =
+    match config ~workers:w () with Ok c -> c.Cli.workers | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check int) "flag respected" 3 (workers 3);
+  Alcotest.(check int) "negative clamps to 0" 0 (workers (-2))
+
 let suite =
   ( "cli",
     [
@@ -69,4 +105,9 @@ let suite =
       Alcotest.test_case "adversary" `Quick test_adversary;
       Alcotest.test_case "experiment e1 -j 2" `Quick test_experiment_e1_parallel;
       Alcotest.test_case "unknown lock rejected" `Quick test_unknown_lock_rejected;
+      Alcotest.test_case "experiment --resume without cache dir" `Quick
+        test_resume_needs_cache_dir;
+      Alcotest.test_case "config: cache dir resolution order" `Quick
+        test_config_cache_dir;
+      Alcotest.test_case "config: worker count resolution" `Quick test_config_workers;
     ] )

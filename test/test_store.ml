@@ -438,19 +438,6 @@ let test_engine_unusable_dir_degrades () =
           Engine.prefetch e [ mk_cell () ];
           Alcotest.(check int) "still computes" 1 (Engine.counters e).Engine.computed))
 
-let test_resolve_cache_dir () =
-  (* --no-cache beats everything; the flag beats the environment. *)
-  Unix.putenv "RME_CACHE_DIR" "/tmp/from-env";
-  Alcotest.(check bool) "env respected" true
-    (Engine.resolve_cache_dir ~no_cache:false () = Some "/tmp/from-env");
-  Alcotest.(check bool) "flag wins" true
-    (Engine.resolve_cache_dir ~cli:"/tmp/flag" ~no_cache:false () = Some "/tmp/flag");
-  Alcotest.(check bool) "no-cache wins" true
-    (Engine.resolve_cache_dir ~cli:"/tmp/flag" ~no_cache:true () = None);
-  Unix.putenv "RME_CACHE_DIR" "";
-  Alcotest.(check bool) "empty env is off" true
-    (Engine.resolve_cache_dir ~no_cache:false () = None)
-
 (* ---------------- properties: per-line CRC vs file damage ---------------- *)
 
 (* Write a shard of [n] entries and return its path plus content. *)
@@ -564,8 +551,6 @@ let suite =
         test_engine_get_persists;
       Alcotest.test_case "engine: unusable cache dir degrades gracefully" `Quick
         test_engine_unusable_dir_degrades;
-      Alcotest.test_case "engine: cache dir resolution order" `Quick
-        test_resolve_cache_dir;
       Qc.to_alcotest prop_truncation_salvages_exact_prefix;
       Qc.to_alcotest prop_byte_flip_drops_only_that_line;
     ] )
